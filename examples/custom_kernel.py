@@ -85,8 +85,9 @@ def main():
     assert sum(hist) == 128
 
     for fault_type in (FaultType.BRANCH_FLIP, FaultType.BRANCH_CONDITION):
-        stats = bw.inject(fault_type, nthreads=NTHREADS, injections=40,
-                          setup=fill_inputs, output_globals=("hist",)).stats
+        spec = bw.spec(fault=fault_type, nthreads=NTHREADS, injections=40,
+                       output_globals=("hist",))
+        stats = bw.inject(spec, setup=fill_inputs).stats
         print("%s: coverage %.0f%% -> %.0f%% with BLOCKWATCH"
               % (fault_type.value, 100 * stats.coverage_original,
                  100 * stats.coverage_protected))

@@ -28,31 +28,31 @@ class CFG:
     def reverse_postorder(self) -> List[BasicBlock]:
         """Blocks in reverse postorder from the entry (forward dataflow
         order); unreachable blocks are appended at the end."""
-        seen = set()
-        postorder: List[BasicBlock] = []
-
-        def visit(block: BasicBlock) -> None:
-            stack = [(block, iter(self.successors[block]))]
-            seen.add(id(block))
-            while stack:
-                current, succs = stack[-1]
-                advanced = False
-                for succ in succs:
-                    if id(succ) not in seen:
-                        seen.add(id(succ))
-                        stack.append((succ, iter(self.successors[succ])))
-                        advanced = True
-                        break
-                if not advanced:
-                    postorder.append(current)
-                    stack.pop()
-
-        visit(self.function.entry)
-        order = list(reversed(postorder))
-        for block in self.function.blocks:
-            if id(block) not in seen:
-                order.append(block)
+        order = self.reachable_rpo()
+        seen = {id(block) for block in order}
+        order.extend(block for block in self.function.blocks
+                     if id(block) not in seen)
         return order
+
+    def reachable_rpo(self) -> List[BasicBlock]:
+        """The blocks reachable from the entry in reverse postorder —
+        predecessors before successors except on back edges."""
+        entry = self.function.entry
+        seen = {id(entry)}
+        postorder: List[BasicBlock] = []
+        stack = [(entry, iter(self.successors[entry]))]
+        while stack:
+            current, succs = stack[-1]
+            for succ in succs:
+                if id(succ) not in seen:
+                    seen.add(id(succ))
+                    stack.append((succ, iter(self.successors[succ])))
+                    break
+            else:
+                postorder.append(current)
+                stack.pop()
+        postorder.reverse()
+        return postorder
 
     def reachable(self) -> List[BasicBlock]:
         seen = set()

@@ -26,9 +26,7 @@ class DominatorTree:
         self._compute()
 
     def _compute(self) -> None:
-        order = [b for b in self.cfg.reverse_postorder()]
-        reachable = {id(b) for b in self.cfg.reachable()}
-        order = [b for b in order if id(b) in reachable]
+        order = self.cfg.reachable_rpo()
         for index, block in enumerate(order):
             self._order_index[id(block)] = index
         entry = self.function.entry

@@ -12,20 +12,19 @@ This is the API a downstream user starts with::
 
     overhead = bw.overhead(nthreads=32)    # paper Figure 6 measurement
 
-    campaign = bw.inject(spec=bw.spec(fault="flip", nthreads=4,
-                                      injections=100,
-                                      output_globals=("result",),
-                                      telemetry=True),
+    campaign = bw.inject(bw.spec(fault="flip", nthreads=4,
+                                 injections=100,
+                                 output_globals=("result",),
+                                 telemetry=True),
                          setup=fill_inputs)
     print(campaign.stats.coverage_protected)
     print(campaign.telemetry.format_summary())
     campaign.write_trace("campaign.jsonl")
 
-The ``spec=`` form is preferred: a :class:`repro.CampaignSpec` is the
+A campaign is always described by a :class:`repro.CampaignSpec`: the
 same frozen, canonical-JSON value the CLIs and the ``repro-serve`` wire
 protocol consume, and the single source of the campaign's journal plan
-hash.  The older ``bw.inject(FaultType.BRANCH_FLIP, ...)`` kwargs keep
-working through a shim that emits a :class:`DeprecationWarning`.
+hash.
 
 Everything here delegates to the layered modules (frontend → analysis →
 instrument → runtime → monitor → faults); use those directly for finer
@@ -34,8 +33,7 @@ control.
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from repro.analysis import (
     AnalysisConfig,
@@ -45,15 +43,7 @@ from repro.analysis import (
     format_table,
 )
 from repro.errors import SpecError
-from repro.faults import (
-    CampaignConfig,
-    CampaignResult,
-    CampaignSpec,
-    FaultType,
-    run_campaign,
-    spec_of_config,
-)
-from repro.faults.campaign import _execute_campaign
+from repro.faults import CampaignResult, CampaignSpec, FaultType, run_campaign
 from repro.instrument import InstrumentConfig
 from repro.monitor import MonitorMode
 from repro.runtime import ParallelProgram, RunResult
@@ -153,7 +143,7 @@ class BlockWatch:
         same source, name, entry point, optimization level, and backend.
         Accepts every spec field (``fault=``, ``injections=``,
         ``nthreads=``, ``output_globals=``, ``telemetry=``, ...); the
-        result is what :meth:`inject` prefers, what ``repro-serve``
+        result is what :meth:`inject` runs, what ``repro-serve``
         submits, and where the campaign's plan hash comes from.
         """
         kwargs.setdefault("name", self.program.name)
@@ -163,81 +153,40 @@ class BlockWatch:
                           getattr(self.program, "backend", "interpreter"))
         return CampaignSpec.build(self.program.source, **kwargs)
 
-    def inject(self, fault_type: Optional[FaultType] = None,
-               nthreads: int = 4,
-               injections: int = 100, setup: Setup = None,
-               output_globals: Sequence[str] = (),
-               seed: int = 2012, quantize_bits: int = 0,
-               jobs: Optional[int] = None,
-               config: Optional[CampaignConfig] = None,
-               telemetry: bool = False,
-               keep_records: bool = False,
-               journal: Optional[str] = None,
-               resume: bool = False,
-               store=None,
-               plan: str = "full",
-               spec: Optional[CampaignSpec] = None) -> CampaignResult:
-        """Run a fault-injection campaign; returns the full
-        :class:`CampaignResult` (stats on ``.stats``, merged telemetry
-        and trace on ``.telemetry`` when the spec asks for telemetry).
+    def inject(self, spec: CampaignSpec, setup: Setup = None,
+               jobs: Optional[int] = None, keep_records: bool = False,
+               store=None) -> CampaignResult:
+        """Run the fault-injection campaign ``spec`` describes; returns
+        the full :class:`CampaignResult` (stats on ``.stats``, merged
+        telemetry and trace on ``.telemetry`` when the spec asks for
+        telemetry).
 
-        Preferred form: ``bw.inject(spec=bw.spec(...), setup=...)`` — one
-        frozen :class:`repro.CampaignSpec` carries the fault model and
-        every campaign knob, serializes to canonical JSON, and is the
-        single source of the journal plan hash (the same fingerprint
-        ``repro-serve`` validates on submission).  The spec must describe
-        this program; ``jobs``, ``setup``, ``keep_records``, and
-        ``store`` stay keywords because they are execution-side knobs.
-
-        The individual kwargs (``fault_type``, ``nthreads``,
-        ``injections``, ..., or a prebuilt ``config``) are the pre-spec
-        surface; they keep working through a shim that emits a
-        :class:`DeprecationWarning`.
+        Build the spec with :meth:`spec` (``bw.inject(bw.spec(...),
+        setup=...)``): one frozen :class:`repro.CampaignSpec` carries the
+        fault model and every campaign knob — ``plan``, ``telemetry``,
+        ``journal``/``resume`` included — serializes to canonical JSON,
+        and is the single source of the journal plan hash (the same
+        fingerprint ``repro-serve`` validates on submission).  The spec
+        must describe this program.  ``setup=None`` uses the spec's
+        serializable inputs (:meth:`CampaignSpec.default_setup`).
 
         ``jobs`` fans the injections out across worker processes
         (``None`` reads ``REPRO_JOBS``, ``0`` uses every core);
         everything except wall-clock timers is identical to a serial run
-        for the same seed.  ``journal`` checkpoints every completed
-        injection to a crash-safe JSONL file; ``resume=True`` replays it
-        (after plan validation) and runs only the missing injections.
-        ``plan="stratified"`` samples per predicted vulnerability class
-        and reports re-weighted coverage estimates on
-        ``result.stratified``.
+        for the same seed.  ``keep_records`` keeps the per-injection
+        records; ``store`` caches golden runs (see :func:`run_campaign`).
         """
-        if spec is not None:
-            if fault_type is not None or config is not None:
-                raise TypeError(
-                    "inject(spec=...) takes no fault_type/config: the "
-                    "spec already carries the fault model and knobs")
-            if spec.resolved_source()[0] != self.program.source:
-                raise SpecError(
-                    "spec describes a different program than this "
-                    "BlockWatch compiled; build it with bw.spec(...) or "
-                    "run it directly through run_campaign(spec)")
-            return run_campaign(spec, setup=setup, jobs=jobs,
-                                keep_records=keep_records, store=store,
-                                program=self.program)
-        if fault_type is None:
-            raise TypeError("inject() needs spec=... or a fault_type")
-        warnings.warn(
-            "BlockWatch.inject(fault_type, ...) kwargs are deprecated; "
-            "pass spec=bw.spec(fault=..., ...) instead",
-            DeprecationWarning, stacklevel=2)
-        if config is None:
-            config = CampaignConfig(
-                nthreads=nthreads, injections=injections, seed=seed,
-                output_globals=tuple(output_globals),
-                quantize_bits=quantize_bits)
-        campaign_spec = spec_of_config(
-            self.program, fault_type, config, plan=plan,
-            telemetry=telemetry, journal=journal, resume=resume)
-        # spec_driven=False keeps the exact pre-spec setup semantics
-        # (setup=None means *no* setup, not the spec-derived one).
-        return _execute_campaign(campaign_spec, program=self.program,
-                                 setup=setup, spec_driven=False,
-                                 keep_records=keep_records, jobs=jobs,
-                                 progress=None, store=store,
-                                 vuln_report=None)
+        if not isinstance(spec, CampaignSpec):
+            raise TypeError("inject() takes a CampaignSpec (build one with "
+                            "bw.spec(...)), got %s" % type(spec).__name__)
+        if spec.resolved_source()[0] != self.program.source:
+            raise SpecError(
+                "spec describes a different program than this "
+                "BlockWatch compiled; build it with bw.spec(...) or "
+                "run it directly through run_campaign(spec)")
+        return run_campaign(spec, setup=setup, jobs=jobs,
+                            keep_records=keep_records, store=store,
+                            program=self.program)
 
 
 def protect(source: str, **kwargs) -> BlockWatch:

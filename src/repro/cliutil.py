@@ -17,11 +17,19 @@ identically everywhere::
 Defaults stay ``None`` so each flag keeps deferring to its environment
 knob (``REPRO_JOBS``, ``REPRO_STORE``, ``REPRO_OPT_LEVEL``,
 ``REPRO_BACKEND``) at resolution time, not at parse time.
+
+The report-writing half of the baseline gates (``repro-lint``,
+``repro-lint vuln``, ``repro-triage``) lives here too: :func:`load_json`,
+:func:`emit` and :func:`update_baseline` keep their messages and exit
+codes (0 ok, 2 I/O problem) identical across the three; each CLI keeps
+its own drift comparison.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import sys
 from typing import Optional
 
 #: Canonical one-line help per shared flag (the single place the
@@ -81,3 +89,44 @@ def shared_options(*features: str, jobs_help: Optional[str] = None,
     add_shared_options(parent, *features, jobs_help=jobs_help,
                        store_help=store_help)
     return parent
+
+
+def load_json(path: str, what: str):
+    """Parse the JSON file ``path``; an unreadable or malformed file
+    raises ``SystemExit`` carrying one ``error:`` line that names
+    ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise SystemExit("error: cannot read %s %r: %s" % (what, path, exc))
+
+
+def emit(text: str, output: Optional[str]) -> int:
+    """Write ``text`` to the file ``output``, or to stdout when it is
+    empty; returns the exit status (2 after an ``error:`` line)."""
+    if output:
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print("error: cannot write %r: %s" % (output, exc),
+                  file=sys.stderr)
+            return 2
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+def update_baseline(target: str, text: str, message: str) -> int:
+    """The ``--update-baseline`` step: replace ``target`` with ``text``
+    atomically, then print ``message``; returns the exit status (2
+    after an ``error:`` line, leaving no temp file behind)."""
+    from repro.store.artifacts import write_atomic
+    try:
+        write_atomic(target, text)
+    except OSError as exc:
+        print("error: cannot write %r: %s" % (target, exc), file=sys.stderr)
+        return 2
+    print(message)
+    return 0

@@ -17,12 +17,12 @@ from repro.faults.injector import InjectingHook, plan_fault
 from repro.faults.models import FaultSpec, FaultType
 from repro.faults.outcomes import CampaignStats, Outcome
 from repro.faults.recording import RecordingHook, record_site_streams
-from repro.faults.spec import CampaignSpec, SpecSetup, spec_of_config
+from repro.faults.spec import CampaignSpec, SpecSetup
 from repro.faults.validation import check_validation, validate_predictions
 
 __all__ = [
     "CampaignConfig", "CampaignResult", "CampaignSpec", "InjectionRecord",
-    "SpecSetup", "spec_of_config",
+    "SpecSetup",
     "allocate_stratified", "check_validation",
     "golden_run", "injection_seed", "plan_injection", "plan_stratified",
     "run_campaign", "run_false_positive_trial",

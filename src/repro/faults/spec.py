@@ -39,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import SpecError
 from repro.faults.models import FaultType
@@ -381,22 +381,3 @@ class SpecSetup:
             memory.set_scalar(name, value)
         for name, values in self.arrays:
             memory.set_array(name, list(values))
-
-
-def spec_of_config(program, fault_type: FaultType, config,
-                   plan: str = "full", telemetry: bool = False,
-                   journal: Optional[str] = None,
-                   resume: bool = False) -> CampaignSpec:
-    """The spec equivalent of a legacy ``(program, fault_type, config)``
-    call — how the deprecation shim funnels old call sites into the one
-    spec-driven execution path."""
-    return CampaignSpec(
-        program=program.source, name=program.name, entry=program.entry,
-        fault=fault_type.value, injections=config.injections,
-        nthreads=config.nthreads, seed=config.seed,
-        output_globals=config.output_globals,
-        quantize_bits=config.quantize_bits,
-        hang_factor=config.hang_factor, quantum=config.quantum,
-        plan=plan, opt_level=getattr(program, "opt_level", 0),
-        backend=getattr(program, "backend", "interpreter"),
-        telemetry=telemetry, journal=journal, resume=resume)

@@ -10,18 +10,17 @@ a stratified-vs-full coverage comparison.  This is the harness behind
 ``repro-lint vuln --validate``.
 
 Everything returned is a plain JSON-safe dict (sorted keys, no object
-identities), deterministic in (program, config, seed).
+identities), deterministic in the campaign spec.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.faults.campaign import CampaignConfig, _execute_campaign
-from repro.faults.models import FaultType
+from repro.faults.campaign import run_campaign
 from repro.faults.outcomes import Outcome
 from repro.faults.recording import record_site_streams
-from repro.faults.spec import spec_of_config
+from repro.faults.spec import CampaignSpec
 
 #: Schema of the validation payload (bump on shape changes).
 VALIDATION_SCHEMA = 1
@@ -35,34 +34,38 @@ def _rate(numerator: int, denominator: int) -> Optional[float]:
     return (numerator / denominator) if denominator else None
 
 
-def validate_predictions(program, fault_type: FaultType,
-                         config: CampaignConfig, setup=None,
+def validate_predictions(spec: CampaignSpec, program=None, setup=None,
                          report=None, store=None,
                          budget_fraction: float = 0.25,
                          jobs: Optional[int] = None) -> dict:
-    """Measure the predictor against one full campaign.
+    """Measure the predictor against the full campaign ``spec`` describes.
 
-    Runs the full sweep (``config.injections`` uniform injections,
-    records kept), attributes every outcome to its predicted class, then
-    runs a stratified campaign on ``budget_fraction`` of the injections
-    and compares coverage estimates.  ``report`` may be a pre-computed
-    :class:`~repro.lint.vuln.VulnReport`; ``store`` caches golden runs
-    and per-function summaries.
+    Runs the full sweep (``spec.injections`` uniform injections, records
+    kept), attributes every outcome to its predicted class, then runs a
+    stratified campaign on ``budget_fraction`` of the injections and
+    compares coverage estimates.  ``program`` overrides the compiled
+    program (e.g. one built with a custom analysis profile) and
+    ``setup`` the spec's default inputs.  ``report`` may be a
+    pre-computed :class:`~repro.lint.vuln.VulnReport`; ``store`` caches
+    golden runs and per-function summaries.
     """
     from repro.lint.vuln import CLASS_MONITORED, CLASS_SDC, analyze_program
 
+    if program is None:
+        program = spec.resolve_program(store)
+    if setup is None:
+        setup = spec.default_setup()
+    config = spec.campaign_config()
     if report is None:
         report = analyze_program(program,
                                  output_globals=config.output_globals,
                                  store=store)
     streams = record_site_streams(program, config, setup=setup,
                                   report=report)
-    model = fault_type.value
+    model = spec.fault
 
-    full = _execute_campaign(
-        spec_of_config(program, fault_type, config), program=program,
-        setup=setup, spec_driven=False, keep_records=True, jobs=jobs,
-        progress=None, store=store, vuln_report=None)
+    full = run_campaign(spec, program=program, setup=setup,
+                        keep_records=True, jobs=jobs, store=store)
 
     classes: dict = {}
     detected_total = 0
@@ -102,17 +105,9 @@ def validate_predictions(program, fault_type: FaultType,
     recall = _rate(detected_monitored, detected_total)
 
     budget = max(1, int(config.injections * budget_fraction))
-    strat_config = CampaignConfig(
-        nthreads=config.nthreads, injections=budget, seed=config.seed,
-        output_globals=config.output_globals,
-        quantize_bits=config.quantize_bits,
-        hang_factor=config.hang_factor, quantum=config.quantum)
-    strat = _execute_campaign(
-        spec_of_config(program, fault_type, strat_config,
-                       plan="stratified"),
-        program=program, setup=setup, spec_driven=False,
-        keep_records=False, jobs=jobs, progress=None, store=store,
-        vuln_report=report)
+    strat = run_campaign(spec.replace(injections=budget, plan="stratified"),
+                         program=program, setup=setup, jobs=jobs,
+                         store=store, vuln_report=report)
     estimate = strat.stratified["estimate"]["coverage_protected"]
     measured = full.stats.coverage_protected
 

@@ -27,8 +27,8 @@ reduced to a flow relation between **in-ports** (parameters, loads, call
 results, ``gettid``) and **out-ports** (stores, call arguments, returns,
 ``output``, branch conditions, ``send_cond`` payloads), computed by a
 deterministic fixpoint over def-use chains iterated in reverse postorder
-(:func:`repro.opt.ssa.reverse_postorder`).  Divergence regions — the
-blocks a flipped branch can add to or remove from the trace — come from
+(:meth:`repro.analysis.cfg.CFG.reverse_postorder`).  Divergence regions
+— the blocks a flipped branch can add to or remove from the trace — come from
 a postdominator analysis run on the shared worklist engine
 (:func:`repro.lint.dataflow.run_dataflow`, backward + intersection).
 Summaries mention only names (locations, callees, port tokens), never
@@ -50,6 +50,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.cfg import CFG
 from repro.ir import (
     Branch,
     Call,
@@ -75,7 +76,6 @@ from repro.ir.printer import print_function
 from repro.ir.types import VOID
 from repro.ir.values import FunctionRef
 from repro.lint.dataflow import BACKWARD, TOP, IntersectionLattice, run_dataflow
-from repro.opt.ssa import reverse_postorder
 
 #: Version of the vulnerability summary/report shape.  Participates in
 #: every per-function store key, so bumping it invalidates cached
@@ -297,8 +297,7 @@ def summarize_function(function: Function) -> dict:
     # argument's influence on the result goes through the callee's
     # summary, not a local edge).  Iteration order is reverse postorder,
     # so acyclic chains converge in one pass and phi cycles in two.
-    order = reverse_postorder(function)
-    ordered = order + [b for b in function.blocks if b not in order]
+    ordered = CFG(function).reverse_postorder()
     values: List = list(function.params)
     for block in ordered:
         values.extend(i for i in block.instructions if i.type is not VOID)

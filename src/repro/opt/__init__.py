@@ -20,7 +20,7 @@ from repro.opt.pipeline import (
     PipelineReport,
     optimize_module,
 )
-from repro.opt.ssa import from_ssa, reverse_postorder, to_ssa
+from repro.opt.ssa import from_ssa, to_ssa
 
 __all__ = [
     "PASS_FUNCS",
@@ -30,6 +30,5 @@ __all__ = [
     "compute_frozen",
     "from_ssa",
     "optimize_module",
-    "reverse_postorder",
     "to_ssa",
 ]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
+from repro.analysis.cfg import CFG
 from repro.errors import OptimizationError
 from repro.ir import (
     BasicBlock,
@@ -47,36 +48,6 @@ def _default_constant(type_) -> Constant:
     if type_ is BOOL:
         return Constant(False, BOOL)
     return Constant(0, type_)
-
-
-def reverse_postorder(function: Function) -> List[BasicBlock]:
-    """Blocks of ``function`` in reverse postorder over the CFG —
-    predecessors before successors except on back edges.  Unreachable
-    blocks are omitted.  The canonical iteration order for forward
-    fixpoints (SSA renaming here, def-use reach in
-    :mod:`repro.lint.vuln`)."""
-    entry = function.entry
-    seen = {id(entry)}
-    order: List[BasicBlock] = []
-    stack = [(entry, iter(entry.successors()))]
-    while stack:
-        block, successors = stack[-1]
-        advanced = False
-        for succ in successors:
-            if id(succ) not in seen:
-                seen.add(id(succ))
-                stack.append((succ, iter(succ.successors())))
-                advanced = True
-                break
-        if not advanced:
-            order.append(block)
-            stack.pop()
-    order.reverse()
-    return order
-
-
-#: Backward-compatible private alias (pre-export name).
-_reverse_postorder = reverse_postorder
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +120,7 @@ def to_ssa(function: Function, frozen: Optional[Set[int]] = None) -> int:
         return 0
     if frozen is None:
         frozen = set()
-    order = _reverse_postorder(function)
+    order = CFG(function).reachable_rpo()
     processed: Set[int] = set()
     # Placeholder phis for every (join block, slot).
     entry_values: Dict[int, Dict[int, object]] = {}  # id(block) -> id(slot) -> value

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 from repro.errors import ServeError, StoreError
 from repro.faults.spec import CampaignSpec
 from repro.serve import protocol
-from repro.store.artifacts import ArtifactStore
+from repro.store.artifacts import ArtifactStore, write_atomic
 from repro.store.hashing import canonical_json
 from repro.store.serialize import result_to_dict
 from repro.telemetry import Telemetry
@@ -168,13 +168,8 @@ class CampaignScheduler:
     def _persist(self, job: Job) -> None:
         """Atomic write of the job's state file (crash leaves old state)."""
         os.makedirs(self.jobs_dir, exist_ok=True)
-        path = os.path.join(self.jobs_dir, job.job_id + ".json")
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(job.to_state(), handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        write_atomic(os.path.join(self.jobs_dir, job.job_id + ".json"),
+                     json.dumps(job.to_state(), sort_keys=True))
 
     def _touch(self, job: Job, state: Optional[str] = None, **changes
                ) -> None:

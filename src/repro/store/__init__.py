@@ -11,8 +11,8 @@ experiments, and CLI invocations skip compilation entirely on a warm
 cache.  ``repro-store ls/gc/verify`` manage a store root.
 
 **Durable campaign journal** (:mod:`repro.store.journal`) —
-``run_campaign(..., journal=..., resume=True)`` appends every completed
-injection to a crash-safe JSONL file and, on resume, replays it,
+``run_campaign(spec.replace(journal=..., resume=True))`` appends every
+completed injection to a crash-safe JSONL file and, on resume, replays it,
 validates the plan hash and golden fingerprint, and schedules only the
 missing injection indices; the merged result is identical (stats,
 records, event trace) to an uninterrupted run with the same seed.
@@ -29,6 +29,7 @@ from repro.store.artifacts import (
     ArtifactStore,
     GoldenSummary,
     StoreEntry,
+    write_atomic,
 )
 from repro.store.hashing import (
     ARTIFACT_SCHEMA,
@@ -68,5 +69,5 @@ __all__ = [
     "program_key", "program_key_of", "vuln_key",
     "record_from_dict", "record_to_dict", "result_from_dict",
     "result_to_dict", "spec_from_dict", "spec_to_dict",
-    "stats_from_dict", "stats_to_dict",
+    "stats_from_dict", "stats_to_dict", "write_atomic",
 ]

@@ -19,9 +19,9 @@ or damage, while the high-level :meth:`get_program`/:meth:`get_golden`
 paths treat any unusable entry as a miss and rebuild — a cache must
 never turn corruption into a failed campaign.
 
-Writes are atomic (temp file + ``os.replace``), so concurrent
-campaigns racing on a cold key at worst both compile and one rename
-wins — never a torn object.
+Writes are atomic (:func:`write_atomic`: temp file + ``os.replace``),
+so concurrent campaigns racing on a cold key at worst both compile and
+one rename wins — never a torn object.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import json
 import os
 import pickle
 import shutil
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -44,6 +45,41 @@ from repro.store.hashing import (
 
 #: Environment variable naming the default store root.
 STORE_ENV = "REPRO_STORE"
+
+#: The process umask (read once: reading it means setting it), so
+#: :func:`write_atomic` files get the mode a plain ``open()`` gives.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+def write_atomic(path: str, data) -> None:
+    """Replace ``path`` with ``data`` (bytes, or text written as UTF-8)
+    atomically and durably.
+
+    The data goes to a temp file in the same directory — unique per
+    call, so concurrent writers never share one — which is flushed,
+    fsynced and ``os.replace``d over ``path``: a crash leaves the old
+    file or the new one, never a torn mix.  On failure the temp file is
+    removed and the ``OSError`` propagates.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    directory, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(prefix=".%s.tmp." % name,
+                               dir=directory or ".")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.chmod(tmp, 0o666 & ~_UMASK)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 @dataclass
@@ -86,22 +122,13 @@ class ArtifactStore:
         os.makedirs(self.journals_dir, exist_ok=True)
         marker = os.path.join(self.root, "store.json")
         if not os.path.exists(marker):
-            self._write_atomic(marker, json.dumps(
+            write_atomic(marker, json.dumps(
                 {"schema": ARTIFACT_SCHEMA}).encode("utf-8"))
 
     # -- low-level object access ---------------------------------------
 
     def _entry_dir(self, key: str) -> str:
         return os.path.join(self.objects, key[:2], key)
-
-    @staticmethod
-    def _write_atomic(path: str, data: bytes) -> None:
-        tmp = path + ".tmp.%d" % os.getpid()
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
 
     def put(self, key: str, kind: str, payload, name: str = "") -> None:
         """Store ``payload`` under ``key`` (atomic, overwrites)."""
@@ -110,12 +137,12 @@ class ArtifactStore:
         blob = pickle.dumps(
             {"schema": ARTIFACT_SCHEMA, "kind": kind, "payload": payload},
             protocol=pickle.HIGHEST_PROTOCOL)
-        self._write_atomic(os.path.join(directory, "data.pkl"), blob)
+        write_atomic(os.path.join(directory, "data.pkl"), blob)
         now = time.time()
         meta = {"schema": ARTIFACT_SCHEMA, "key": key, "kind": kind,
                 "name": name, "size": len(blob),
                 "created": now, "last_used": now}
-        self._write_atomic(os.path.join(directory, "meta.json"),
+        write_atomic(os.path.join(directory, "meta.json"),
                            json.dumps(meta, sort_keys=True).encode("utf-8"))
 
     def load(self, key: str, kind: str, touch: bool = True):
@@ -154,7 +181,7 @@ class ArtifactStore:
             with open(meta_path, "r", encoding="utf-8") as handle:
                 meta = json.load(handle)
             meta["last_used"] = time.time()
-            self._write_atomic(meta_path,
+            write_atomic(meta_path,
                                json.dumps(meta, sort_keys=True).encode("utf-8"))
         except (OSError, ValueError):
             pass  # LRU freshness is advisory; never fail a hit over it

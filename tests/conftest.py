@@ -56,6 +56,13 @@ def figure1_setup(nthreads: int):
     return apply
 
 
+def spec_for(program: ParallelProgram, **fields):
+    """The CampaignSpec describing the compiled ``program`` (same source,
+    name, entry point, opt level and backend) with ``fields`` set."""
+    from repro import BlockWatch
+    return BlockWatch.from_program(program).spec(**fields)
+
+
 @pytest.fixture(scope="session")
 def figure1_program() -> ParallelProgram:
     return ParallelProgram(FIGURE_1, "figure1")

@@ -3,16 +3,14 @@
 import pytest
 
 from repro.faults import (
-    CampaignConfig,
     CampaignStats,
-    FaultType,
     Outcome,
     run_campaign,
     run_false_positive_trial,
 )
 from repro.faults.campaign import quantize_signature
 from repro.runtime import ParallelProgram
-from tests.conftest import FIGURE_1, figure1_setup
+from tests.conftest import FIGURE_1, figure1_setup, spec_for
 
 
 @pytest.fixture(scope="module")
@@ -79,9 +77,9 @@ class TestQuantization:
 
 class TestCampaigns:
     def test_flip_campaign_statistics(self, program):
-        config = CampaignConfig(nthreads=4, injections=25, seed=3,
-                                output_globals=("result",))
-        campaign = run_campaign(program, FaultType.BRANCH_FLIP, config,
+        spec = spec_for(program, fault="flip", nthreads=4, injections=25,
+                        seed=3, output_globals=("result",))
+        campaign = run_campaign(spec, program=program,
                                 setup=figure1_setup(4), keep_records=True)
         stats = campaign.stats
         assert stats.injections == 25
@@ -92,18 +90,18 @@ class TestCampaigns:
         assert len(campaign.records) == 25
 
     def test_condition_campaign_has_masked_outcomes(self, program):
-        config = CampaignConfig(nthreads=4, injections=30, seed=3,
-                                output_globals=("result",))
-        campaign = run_campaign(program, FaultType.BRANCH_CONDITION, config,
+        spec = spec_for(program, fault="condition", nthreads=4,
+                        injections=30, seed=3, output_globals=("result",))
+        campaign = run_campaign(spec, program=program,
                                 setup=figure1_setup(4))
         assert campaign.stats.counts.get(Outcome.MASKED, 0) > 0
 
     def test_campaign_reproducible(self, program):
-        config = CampaignConfig(nthreads=4, injections=15, seed=11,
-                                output_globals=("result",))
-        a = run_campaign(program, FaultType.BRANCH_FLIP, config,
+        spec = spec_for(program, fault="flip", nthreads=4, injections=15,
+                        seed=11, output_globals=("result",))
+        a = run_campaign(spec, program=program,
                          setup=figure1_setup(4)).stats
-        b = run_campaign(program, FaultType.BRANCH_FLIP, config,
+        b = run_campaign(spec, program=program,
                          setup=figure1_setup(4)).stats
         assert a.counts == b.counts
 
@@ -113,9 +111,9 @@ class TestCampaigns:
         assert fp == 0
 
     def test_summary_row_shape(self, program):
-        config = CampaignConfig(nthreads=4, injections=5, seed=1,
-                                output_globals=("result",))
-        stats = run_campaign(program, FaultType.BRANCH_FLIP, config,
+        spec = spec_for(program, fault="flip", nthreads=4, injections=5,
+                        seed=1, output_globals=("result",))
+        stats = run_campaign(spec, program=program,
                              setup=figure1_setup(4)).stats
         row = stats.summary_row()
         assert len(row) == len(CampaignStats.SUMMARY_HEADERS)

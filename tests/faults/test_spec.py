@@ -1,9 +1,8 @@
 """CampaignSpec: the one serializable description of a campaign.
 
 The contract under test: a spec survives the wire (spec → canonical
-JSON → spec) with byte-identical serialization and plan hash; running
-a spec is bit-identical to the legacy kwarg call it replaces; and the
-legacy surfaces still work but say so (``DeprecationWarning``).
+JSON → spec) with byte-identical serialization and plan hash, and it is
+the only thing the campaign entry points accept.
 """
 
 import json
@@ -12,15 +11,8 @@ import pytest
 
 import repro
 from repro.errors import SpecError
-from repro.faults import (
-    CampaignConfig,
-    CampaignSpec,
-    FaultType,
-    run_campaign,
-    spec_of_config,
-)
+from repro.faults import CampaignSpec, FaultType, run_campaign
 from tests.conftest import FIGURE_1, figure1_setup
-from tests.store.test_resume import record_view
 
 
 def figure1_spec(**overrides):
@@ -96,42 +88,17 @@ class TestValidation:
 
 
 class TestExecutionIdentity:
-    @pytest.fixture(scope="class")
-    def spec(self):
-        return figure1_spec()
-
-    @pytest.fixture(scope="class")
-    def legacy(self, spec):
-        program = repro.runtime.ParallelProgram(FIGURE_1, "figure1")
-        config = CampaignConfig(nthreads=4, injections=8, seed=9,
-                                output_globals=("result",))
-        with pytest.warns(DeprecationWarning):
-            return run_campaign(program, FaultType.BRANCH_FLIP, config,
-                                setup=figure1_setup(4), keep_records=True)
-
-    def test_spec_run_matches_legacy_kwargs(self, spec, legacy):
-        result = run_campaign(spec, keep_records=True)
-        assert result.stats.counts == legacy.stats.counts
-        assert ([record_view(r) for r in result.records]
-                == [record_view(r) for r in legacy.records])
-
-    def test_spec_of_config_matches_build(self, spec, legacy):
-        program = repro.runtime.ParallelProgram(FIGURE_1, "figure1")
-        config = CampaignConfig(nthreads=4, injections=8, seed=9,
-                                output_globals=("result",))
-        derived = spec_of_config(program, FaultType.BRANCH_FLIP, config)
-        # Same plan fingerprint => a journal written by either resumes
-        # under the other.
-        assert derived.plan_hash == spec.plan_hash
-
     def test_legacy_positional_requires_config(self):
+        """Only a CampaignSpec describes a campaign: the pre-spec call
+        shapes fail with one line that says what to pass instead."""
         program = repro.runtime.ParallelProgram(FIGURE_1, "figure1")
-        with pytest.raises(TypeError):
-            run_campaign(program, FaultType.BRANCH_FLIP)
-
-    def test_spec_plus_kwargs_rejected(self, spec):
-        with pytest.raises(TypeError):
-            run_campaign(spec, FaultType.BRANCH_FLIP)
+        calls = (lambda: run_campaign(program, FaultType.BRANCH_FLIP),
+                 lambda: repro.BlockWatch.from_program(program).inject(
+                     FaultType.BRANCH_FLIP))
+        for call in calls:
+            with pytest.raises(TypeError, match="CampaignSpec") as info:
+                call()
+            assert "\n" not in str(info.value)
 
 
 class TestBlockWatchSpec:
@@ -151,25 +118,8 @@ class TestBlockWatchSpec:
         result = bw.inject(spec=spec, setup=figure1_setup(4))
         assert result.stats.injections == 4
 
-    def test_inject_legacy_kwargs_warn_and_match(self, bw):
-        spec = bw.spec(fault="flip", injections=4, seed=9,
-                       output_globals=("result",))
-        via_spec = bw.inject(spec=spec, setup=figure1_setup(4),
-                             keep_records=True)
-        with pytest.warns(DeprecationWarning):
-            legacy = bw.inject(FaultType.BRANCH_FLIP, injections=4,
-                               seed=9, output_globals=("result",),
-                               setup=figure1_setup(4), keep_records=True)
-        assert ([record_view(r) for r in via_spec.records]
-                == [record_view(r) for r in legacy.records])
-
     def test_inject_rejects_foreign_spec(self, bw):
         other = CampaignSpec.for_kernel("radix", fault="flip",
                                         injections=4)
         with pytest.raises(SpecError):
             bw.inject(spec=other)
-
-    def test_inject_rejects_spec_plus_fault_type(self, bw):
-        spec = bw.spec(fault="flip", injections=4)
-        with pytest.raises(TypeError):
-            bw.inject(FaultType.BRANCH_FLIP, spec=spec)

@@ -3,7 +3,8 @@ campaigns asserting real detection capability on every kernel."""
 
 import pytest
 
-from repro import BlockWatch, FaultType
+from repro import BlockWatch
+from repro.faults import CampaignSpec, Outcome, run_campaign
 from repro.splash2 import KERNELS
 from tests.conftest import FIGURE_1, figure1_setup
 
@@ -36,8 +37,9 @@ class TestFacade:
         assert bw.overhead(4, setup=figure1_setup(4)) > 1.0
 
     def test_inject_improves_coverage(self, bw):
-        stats = bw.inject(FaultType.BRANCH_FLIP, nthreads=4, injections=30,
-                          setup=figure1_setup(4), output_globals=("result",))
+        spec = bw.spec(fault="flip", nthreads=4, injections=30,
+                       output_globals=("result",))
+        stats = bw.inject(spec, setup=figure1_setup(4)).stats
         assert stats.coverage_protected > stats.coverage_original
 
 
@@ -45,14 +47,10 @@ class TestFacade:
 def test_every_kernel_detects_something(name, compiled_kernels):
     """A small flip campaign must produce at least one detection on every
     program (raytrace included — some of its branches are still checked)."""
-    from repro.faults import CampaignConfig, Outcome, run_campaign
-
-    spec, prog = compiled_kernels[name]
-    config = CampaignConfig(nthreads=4, injections=15, seed=5,
-                            output_globals=spec.output_globals,
-                            quantize_bits=spec.sdc_quantize_bits)
-    campaign = run_campaign(prog, FaultType.BRANCH_FLIP, config,
-                            setup=spec.setup(4))
+    _kernel, prog = compiled_kernels[name]
+    spec = CampaignSpec.for_kernel(name, fault="flip", nthreads=4,
+                                   injections=15, seed=5)
+    campaign = run_campaign(spec, program=prog)
     stats = campaign.stats
     assert stats.activated > 0
     assert stats.counts.get(Outcome.DETECTED, 0) > 0, stats.counts
@@ -62,15 +60,11 @@ def test_every_kernel_detects_something(name, compiled_kernels):
 def test_coverage_gain_on_protected_programs(compiled_kernels):
     """Aggregate sanity: across the suite (minus raytrace, by design),
     BLOCKWATCH must improve flip coverage substantially."""
-    from repro.faults import CampaignConfig, run_campaign
-
     gains = []
     for name in ("radix", "ocean_noncontig"):
-        spec, prog = compiled_kernels[name]
-        config = CampaignConfig(nthreads=4, injections=25, seed=17,
-                                output_globals=spec.output_globals,
-                                quantize_bits=spec.sdc_quantize_bits)
-        stats = run_campaign(prog, FaultType.BRANCH_FLIP, config,
-                             setup=spec.setup(4)).stats
+        _kernel, prog = compiled_kernels[name]
+        spec = CampaignSpec.for_kernel(name, fault="flip", nthreads=4,
+                                       injections=25, seed=17)
+        stats = run_campaign(spec, program=prog).stats
         gains.append(stats.detection_gain)
     assert max(gains) > 0.3

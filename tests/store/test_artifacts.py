@@ -8,7 +8,8 @@ import pytest
 
 from repro.errors import StoreCorruptError, StoreError, StoreSchemaError
 from repro.runtime.program import resolve_backend, resolve_opt_level
-from repro.store import ARTIFACT_SCHEMA, ArtifactStore, program_key
+from repro.store import (ARTIFACT_SCHEMA, ArtifactStore, program_key,
+                         write_atomic)
 from repro.telemetry import Telemetry
 from tests.conftest import FIGURE_1
 
@@ -210,3 +211,50 @@ class TestVulnKind:
         evicted = store.gc(max_entries=1)
         assert [e.key for e in evicted] == ["e" * 64]
         assert [e.kind for e in store.entries()] == ["vuln"]
+
+
+class TestWriteAtomic:
+    def test_replaces_content_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "state.json"
+        write_atomic(str(path), "first")
+        write_atomic(str(path), b"second")
+        assert path.read_bytes() == b"second"
+        assert os.listdir(tmp_path) == ["state.json"]
+
+    def test_failure_removes_temp_and_raises(self, tmp_path):
+        target = tmp_path / "target"
+        target.mkdir()  # os.replace onto a directory fails
+        with pytest.raises(OSError):
+            write_atomic(str(target), "data")
+        assert os.listdir(tmp_path) == ["target"]
+
+    def test_concurrent_writers_never_share_a_temp_file(self, tmp_path):
+        import sys
+        import threading
+        path = str(tmp_path / "shared.json")
+        payloads = [("writer %d " % n) * 5000 for n in range(8)]
+        errors = []
+
+        def write(text):
+            try:
+                for _ in range(20):
+                    write_atomic(path, text)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(text,))
+                   for text in payloads]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() in payloads
+        assert os.listdir(tmp_path) == ["shared.json"]

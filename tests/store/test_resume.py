@@ -21,25 +21,21 @@ import pytest
 
 import repro
 from repro.errors import PlanMismatchError, StoreError
-from repro.faults import CampaignConfig, FaultType, run_campaign
+from repro.faults import CampaignSpec, run_campaign
 from repro.runtime import ParallelProgram
 from repro.splash2 import kernel
-from tests.conftest import FIGURE_1, figure1_setup
+from tests.conftest import FIGURE_1, figure1_setup, spec_for
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-def config(**overrides):
-    base = dict(nthreads=4, injections=12, seed=9,
-                output_globals=("result",))
-    base.update(overrides)
-    return CampaignConfig(**base)
-
-
 def run(program, journal=None, resume=False, telemetry=True, **overrides):
-    return run_campaign(program, FaultType.BRANCH_FLIP, config(**overrides),
-                        setup=figure1_setup(4), keep_records=True,
-                        telemetry=telemetry, journal=journal, resume=resume)
+    fields = dict(fault="flip", nthreads=4, injections=12, seed=9,
+                  output_globals=("result",), telemetry=telemetry,
+                  journal=journal, resume=resume)
+    fields.update(overrides)
+    return run_campaign(spec_for(program, **fields), program=program,
+                        setup=figure1_setup(4), keep_records=True)
 
 
 def record_view(record):
@@ -163,13 +159,13 @@ class TestSigkillResume:
         with open(path) as handle:
             return sum(1 for _ in handle)
 
+    def spec(self, **fields):
+        return CampaignSpec.for_kernel(
+            "radix", fault="flip", nthreads=self.NTHREADS,
+            injections=self.INJECTIONS, seed=self.SEED, **fields)
+
     def run_uninterrupted(self):
-        spec = kernel("radix")
-        cfg = CampaignConfig(nthreads=self.NTHREADS,
-                             injections=self.INJECTIONS, seed=self.SEED,
-                             output_globals=tuple(spec.output_globals))
-        return run_campaign(spec.program(), FaultType.BRANCH_FLIP, cfg,
-                            setup=spec.setup(self.NTHREADS),
+        return run_campaign(self.spec(), program=kernel("radix").program(),
                             keep_records=True)
 
     def test_sigkill_then_resume_matches(self, tmp_path):
@@ -204,14 +200,9 @@ class TestSigkillResume:
         # The resumed journal replays into exactly the uninterrupted
         # campaign: same stats, same per-injection records.
         full = self.run_uninterrupted()
-        spec = kernel("radix")
-        cfg = CampaignConfig(nthreads=self.NTHREADS,
-                             injections=self.INJECTIONS, seed=self.SEED,
-                             output_globals=tuple(spec.output_globals))
-        resumed = run_campaign(spec.program(), FaultType.BRANCH_FLIP,
-                               cfg, setup=spec.setup(self.NTHREADS),
-                               keep_records=True, journal=journal,
-                               resume=True)
+        resumed = run_campaign(self.spec(journal=journal, resume=True),
+                               program=kernel("radix").program(),
+                               keep_records=True)
         assert resumed.telemetry is None is full.telemetry
         assert_identical(resumed, full)
         assert len(resumed.records) == self.INJECTIONS

@@ -1,4 +1,4 @@
-"""The redesigned result-object API: MonitorMode, inject(), back-compat."""
+"""The result-object API: MonitorMode, inject(), CampaignResult."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 
 import repro
 from repro import BlockWatch, MonitorMode
-from repro.faults import CampaignConfig, CampaignResult, CampaignStats, FaultType
+from repro.faults import CampaignResult, CampaignStats
 from repro.monitor import MODE_FEED, MODE_FULL
 
 from tests.conftest import FIGURE_1, figure1_setup
@@ -21,9 +21,9 @@ def bw():
 
 @pytest.fixture(scope="module")
 def small_result(bw):
-    return bw.inject(FaultType.BRANCH_FLIP, nthreads=4, injections=4,
-                     setup=figure1_setup(4), output_globals=("result",),
-                     seed=2012)
+    spec = bw.spec(fault="flip", nthreads=4, injections=4,
+                   output_globals=("result",), seed=2012)
+    return bw.inject(spec, setup=figure1_setup(4))
 
 
 def test_monitor_mode_enum_and_strings():
@@ -52,25 +52,10 @@ def test_inject_returns_full_campaign_result(small_result):
     assert small_result.telemetry is None
 
 
-def test_old_return_shape_warns_but_works(small_result):
-    with pytest.warns(DeprecationWarning, match="use the .stats field"):
-        coverage = small_result.coverage_protected
-    assert coverage == small_result.stats.coverage_protected
-    with pytest.raises(AttributeError):
-        small_result.definitely_not_an_attribute
-
-
-def test_deprecation_shim_does_not_break_pickle(small_result):
+def test_campaign_result_pickle_round_trip(small_result):
     clone = pickle.loads(pickle.dumps(small_result))
+    assert isinstance(clone, CampaignResult)
     assert clone.stats == small_result.stats
-
-
-def test_inject_accepts_prebuilt_config(bw, small_result):
-    config = CampaignConfig(nthreads=4, injections=4, seed=2012,
-                            output_globals=("result",))
-    result = bw.inject(FaultType.BRANCH_FLIP, setup=figure1_setup(4),
-                       config=config)
-    assert result.stats == small_result.stats
 
 
 def test_public_exports():

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import CampaignConfig, CampaignResult, FaultType, run_campaign
-from repro.runtime import ParallelProgram
+from repro.faults import CampaignResult, run_campaign
 from repro.telemetry import Telemetry, sort_events, validate_event
 
-from tests.conftest import figure1_setup
+from tests.conftest import figure1_setup, spec_for
 
 THREADS = 4
 INJECTIONS = 8
@@ -21,11 +20,11 @@ SEED = 2012
 
 
 def _campaign(program, jobs):
-    config = CampaignConfig(nthreads=THREADS, injections=INJECTIONS,
-                            seed=SEED, output_globals=("result",))
-    return run_campaign(program, FaultType.BRANCH_FLIP, config,
-                        setup=figure1_setup(THREADS), jobs=jobs,
-                        telemetry=True)
+    spec = spec_for(program, fault="flip", nthreads=THREADS,
+                    injections=INJECTIONS, seed=SEED,
+                    output_globals=("result",), telemetry=True)
+    return run_campaign(spec, program=program,
+                        setup=figure1_setup(THREADS), jobs=jobs)
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +90,9 @@ def test_campaign_counters_cover_the_stack(serial_and_pooled):
 
 
 def test_disabled_campaign_collects_nothing(figure1_program):
-    config = CampaignConfig(nthreads=THREADS, injections=2, seed=SEED,
-                            output_globals=("result",))
-    result = run_campaign(figure1_program, FaultType.BRANCH_FLIP, config,
+    spec = spec_for(figure1_program, fault="flip", nthreads=THREADS,
+                    injections=2, seed=SEED, output_globals=("result",))
+    result = run_campaign(spec, program=figure1_program,
                           setup=figure1_setup(THREADS))
     assert isinstance(result, CampaignResult)
     assert result.telemetry is None

@@ -73,3 +73,20 @@ def test_unknown_kernel_is_reported():
     # SystemExit path (same surface as repro-minic inject).
     with pytest.raises(SystemExit, match="unknown kernel"):
         main(["kernel:nonexistent", "-n", "5"])
+
+
+@pytest.mark.parametrize("layout", ["missing-dir", "directory-target"])
+def test_update_unwritable_target_exits_two(tmp_path, capsys, layout):
+    if layout == "missing-dir":
+        target = tmp_path / "no-such-dir" / "baseline.json"
+    else:
+        target = tmp_path / "baseline.json"
+        target.mkdir()  # os.replace onto a directory fails after the write
+    code, out, err = run_cli(["--baseline", str(target),
+                              "--update-baseline"], capsys)
+    assert code == 2
+    assert "triage baseline updated" not in out
+    assert err.startswith("error: cannot write")
+    assert err.count("\n") == 1
+    leftovers = [p.name for p in tmp_path.rglob("*") if ".tmp." in p.name]
+    assert leftovers == []
