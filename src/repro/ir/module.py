@@ -28,6 +28,18 @@ class Module:
         #: Set by the instrumentation pass: metadata the runtime monitor
         #: needs (branch registry, queue config...).  ``None`` until then.
         self.bw_metadata = None
+        #: Per-process compiled code for this module (the closure
+        #: backend keys it on (cost tuple, thread count)); not pickled.
+        self.compiled: Dict = {}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["compiled"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.compiled = {}
 
     # -- globals ---------------------------------------------------------
 

@@ -11,7 +11,6 @@ from repro.runtime.interpreter import (
     ThreadStatus,
 )
 from repro.runtime.closures import (
-    CODEGEN_VERSION,
     ClosureMachine,
     compile_module,
     get_compiled,
@@ -42,7 +41,7 @@ __all__ = [
     "FaultHook", "Frame", "Machine", "RunResult", "ThreadContext",
     "ThreadStatus", "SharedMemory", "ParallelProgram", "RunConfig",
     "BACKENDS", "resolve_backend", "resolve_opt_level",
-    "CODEGEN_VERSION", "ClosureMachine", "compile_module", "get_compiled",
+    "ClosureMachine", "compile_module", "get_compiled",
     "SimBarrier", "SimMutex",
     "INT_MAX", "INT_MIN", "flip_float_bit", "flip_int_bit", "flip_value_bit",
     "float_to_int", "int_div", "int_mod", "wrap_int",

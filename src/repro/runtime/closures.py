@@ -33,6 +33,12 @@ set the optimizer respects) is always written to its register slot even
 inside fused units, so corruption lands in the slot and every later use
 observes it, exactly as in the interpreter.
 
+**Lifetime.**  Generated code is per-process (``exec``'d functions do
+not pickle) and is never written to the artifact store.
+:func:`get_compiled` memoizes one :class:`CompiledProgram` per (cost
+model, thread count) on the module itself, so compiled code lives
+exactly as long as its module.
+
 Known, accepted divergences (not observable in golden fingerprints or
 campaign outcome classification): on a guest *crash* mid-unit the
 partial unit's steps/cycles are not accounted (the interpreter loses
@@ -45,7 +51,6 @@ addition (the default model is all dyadic, hence exact).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import astuple
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -91,10 +96,6 @@ from repro.monitor import ConditionMessage, OutcomeMessage
 from repro.runtime.costmodel import CostModel
 from repro.runtime.interpreter import Machine, ThreadContext, ThreadStatus
 from repro.runtime.values import float_to_int, int_div, int_mod
-
-#: Bump when generated code changes shape — part of every store key, so
-#: stale cached closure bundles can never be loaded into a new runtime.
-CODEGEN_VERSION = 1
 
 _RUNNABLE = ThreadStatus.RUNNABLE
 _DONE = ThreadStatus.DONE
@@ -210,28 +211,12 @@ class CompiledFunction:
 
 
 class CompiledProgram:
-    __slots__ = ("module", "by_name", "by_id", "sources", "units",
-                 "cost_key", "nthreads")
+    __slots__ = ("module", "by_name", "by_id")
 
-    def __init__(self, module: Module, cost_key, nthreads: int):
+    def __init__(self, module: Module):
         self.module = module
         self.by_name: Dict[str, CompiledFunction] = {}
         self.by_id: Dict[int, CompiledFunction] = {}
-        self.sources: Dict[str, str] = {}
-        #: Per-function unit metadata (bi, start, end, kind, seg_map) —
-        #: together with ``sources`` this is the storable compile result.
-        self.units: Dict[str, List] = {}
-        self.cost_key = cost_key
-        self.nthreads = nthreads
-
-    def bundle(self) -> Dict[str, Any]:
-        """Picklable artifact-store payload: everything a later process
-        needs to skip code *generation* (it still plans and ``exec``\\ s
-        against its own live module objects)."""
-        return {"version": CODEGEN_VERSION,
-                "functions": {name: {"source": self.sources[name],
-                                     "units": self.units[name]}
-                              for name in self.sources}}
 
 
 # ---------------------------------------------------------------------------
@@ -894,51 +879,16 @@ def _exec_env() -> Dict[str, Any]:
             "_fdiv": _fdiv, "inf": math.inf, "nan": math.nan}
 
 
-def _bundle_usable(namespace: Dict[str, Any], fi: int, function,
-                   unit_meta) -> bool:
-    """Does the exec'd warm source define every name phase 3 (and the
-    edge-copy fill) will look up for this function?"""
-    for bi, start, end, kind, seg_map in unit_meta:
-        if kind != "generic":
-            for pos in range(start, end):
-                if "s_%d_%d_%d" % (fi, bi, pos) not in namespace:
-                    return False
-        for entries in seg_map.values():
-            for _steps, name in entries:
-                if name not in namespace:
-                    return False
-    for bi, block in enumerate(function.blocks):
-        if not any(True for _ in block.phis()):
-            continue
-        for pi in range(len(block.predecessors())):
-            if "e_%d_%d_%d" % (fi, bi, pi) not in namespace:
-                return False
-    return True
-
-
 def compile_module(module: Module, cost: Optional[CostModel] = None,
-                   nthreads: int = 1,
-                   bundle: Optional[Dict[str, Any]] = None) -> CompiledProgram:
-    """Compile every function of ``module`` for the closure backend.
-
-    ``bundle`` (from a warm artifact store, see
-    :meth:`CompiledProgram.bundle`) short-circuits code *generation*
-    only: the plan and ``exec`` phases always re-run against the live
-    module objects, so a stale bundle can at worst waste time, not
-    corrupt semantics — a bundle whose unit layout or names disagree
-    with the fresh plan is discarded per-function.
-    """
+                   nthreads: int = 1) -> CompiledProgram:
+    """Compile every function of ``module`` for the closure backend."""
     from repro.opt.legality import compute_frozen  # lazy: avoid import cycle
 
     if cost is None:
         cost = CostModel()
-    warm_functions: Dict[str, Any] = {}
-    if bundle and bundle.get("version") == CODEGEN_VERSION:
-        warm_functions = bundle.get("functions", {}) or {}
-    program = CompiledProgram(module, astuple(cost), nthreads)
+    program = CompiledProgram(module)
     func_index = {f.name: i for i, f in enumerate(module.function_table)}
     plans: Dict[str, _Plan] = {}
-    generated: Dict[str, str] = {}
 
     # Phase 1: plan + shells (blocks must exist before units prebind).
     for function in module.function_table:
@@ -956,60 +906,33 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
         program.by_id[id(function)] = cfunc
 
     # Phase 2: generate + exec per-function source (fused units, singles,
-    # phi skips, edge copies), then fill edge copies.
+    # phi skips, edge copies); unit metadata is (bi, start, end, kind,
+    # segment map) per unit.
     namespaces: Dict[str, Dict[str, Any]] = {}
+    unit_metas: Dict[str, List[Tuple[int, int, int, str, Dict]]] = {}
     for fi, function in enumerate(module.function_table):
         plan = plans[function.name]
-        fresh_units = [(bi, start, end, kind)
-                       for bi, block in enumerate(function.blocks)
-                       for start, end, kind in plan.units[id(block)]]
-        source = None
-        unit_meta: Optional[List[Tuple[int, int, int, str, Dict]]] = None
-        warm = warm_functions.get(function.name)
-        if warm is not None:
-            stored = [tuple(entry) for entry in warm.get("units", ())]
-            if ([entry[:4] for entry in stored] == fresh_units
-                    and warm.get("source")):
-                source = warm["source"]
-                unit_meta = stored
-        if source is not None:
-            namespace = _exec_env()
-            try:
-                exec(compile(source, "<closures:%s>" % function.name,
-                             "exec"), namespace)
-            except SyntaxError:
-                source = None
-            else:
-                if not _bundle_usable(namespace, fi, function, unit_meta):
-                    source = None
-        if source is None:  # cold (or rejected warm entry): generate
-            gen = _FunctionCodegen(fi, function, plan, cost, nthreads,
-                                   func_index)
-            unit_meta = []
-            for bi, block in enumerate(function.blocks):
-                for start, end, kind in plan.units[id(block)]:
-                    if kind == "fused":
-                        seg_map = gen.emit_segments(fi, bi, block, start, end)
-                    else:
-                        seg_map = {}
-                    unit_meta.append((bi, start, end, kind, seg_map))
-                    for pos in range(start, end):
-                        inst = block.instructions[pos]
-                        if isinstance(inst, Phi):
-                            gen.emit_phi_skip("s_%d_%d_%d" % (fi, bi, pos),
-                                              pos)
-                        elif isinstance(inst, _FUSIBLE):
-                            gen.emit_run("s_%d_%d_%d" % (fi, bi, pos), block,
-                                         pos, pos + 1, force_slots=True)
-                for pi, pred in enumerate(block.predecessors()):
-                    gen.emit_edge_copy("e_%d_%d_%d" % (fi, bi, pi), block,
-                                       pred)
-            source = gen.source()
-            namespace = _exec_env()
-            exec(compile(source, "<closures:%s>" % function.name, "exec"),
-                 namespace)
-        generated[function.name] = source
-        program.units[function.name] = unit_meta
+        gen = _FunctionCodegen(fi, function, plan, cost, nthreads, func_index)
+        unit_meta = []
+        for bi, block in enumerate(function.blocks):
+            for start, end, kind in plan.units[id(block)]:
+                if kind == "fused":
+                    seg_map = gen.emit_segments(fi, bi, block, start, end)
+                else:
+                    seg_map = {}
+                unit_meta.append((bi, start, end, kind, seg_map))
+                for pos in range(start, end):
+                    inst = block.instructions[pos]
+                    if isinstance(inst, Phi):
+                        gen.emit_phi_skip("s_%d_%d_%d" % (fi, bi, pos), pos)
+                    elif isinstance(inst, _FUSIBLE):
+                        gen.emit_run("s_%d_%d_%d" % (fi, bi, pos), block,
+                                     pos, pos + 1, force_slots=True)
+            for pi, pred in enumerate(block.predecessors()):
+                gen.emit_edge_copy("e_%d_%d_%d" % (fi, bi, pi), block, pred)
+        namespace = _exec_env()
+        exec(compile(gen.source(), "<closures:%s>" % function.name, "exec"),
+             namespace)
         # Fused jumps retarget frames through these globals (the block
         # shells exist since phase 1).
         cfunc = program.by_name[function.name]
@@ -1017,7 +940,7 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
             namespace["B_%d_%d" % (fi, ti)] = tblock
             namespace["C_%d_%d" % (fi, ti)] = cfunc.blocks[id(tblock)]
         namespaces[function.name] = namespace
-        function._closure_unit_meta = unit_meta  # consumed in phase 3
+        unit_metas[function.name] = unit_meta
 
     # Phase 2b: edge copies into block shells (branch/jump units prebind
     # them, so this must complete before phase 3).
@@ -1035,15 +958,13 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
     for fi, function in enumerate(module.function_table):
         cfunc = program.by_name[function.name]
         namespace = namespaces[function.name]
-        unit_meta = function._closure_unit_meta
-        del function._closure_unit_meta
         blocks = function.blocks
         for block in blocks:
             cblock = cfunc.blocks[id(block)]
             n = len(block.instructions)
             cblock.dispatch = [None] * n
             cblock.singles = [None] * n
-        for bi, start, end, kind, seg_map in unit_meta:
+        for bi, start, end, kind, seg_map in unit_metas[function.name]:
             block = blocks[bi]
             cblock = cfunc.blocks[id(block)]
             insts = block.instructions
@@ -1074,59 +995,24 @@ def compile_module(module: Module, cost: Optional[CostModel] = None,
                 else:
                     cblock.singles[pos] = namespace["s_%d_%d_%d"
                                                     % (fi, bi, pos)]
-    program.sources = generated
     return program
 
 
-#: Per-module compile cache: (cost tuple, nthreads) -> CompiledProgram.
-#: Weak keys — dropping the module drops its compiled code.
-_COMPILE_CACHE: "weakref.WeakKeyDictionary[Module, Dict]" = (
-    weakref.WeakKeyDictionary())
-
-
 def get_compiled(module: Module, cost: Optional[CostModel] = None,
-                 nthreads: int = 1,
-                 telemetry=None) -> CompiledProgram:
-    """compile_module, memoized twice over.
+                 nthreads: int = 1) -> CompiledProgram:
+    """:func:`compile_module`, memoized on the module itself.
 
-    In-process: per-module WeakKey cache keyed on (cost tuple,
-    nthreads).  Cross-process: when a default artifact store is active
-    (``$REPRO_STORE`` / ``set_default_store``), the generated source
-    bundle is content-addressed on the printed IR + cost model + thread
-    count + codegen version, so repeated campaigns skip the string-
-    building half of compilation (``store.closure.hit`` /
-    ``store.closure.miss``).
+    Compiled code is per-process: it lives in ``module.compiled`` keyed
+    on (cost tuple, thread count), which pickling leaves out, so it is
+    freed together with its module.
     """
     if cost is None:
         cost = CostModel()
-    per_module = _COMPILE_CACHE.get(module)
-    if per_module is None:
-        per_module = {}
-        _COMPILE_CACHE[module] = per_module
     key = (astuple(cost), nthreads)
-    compiled = per_module.get(key)
+    compiled = module.compiled.get(key)
     if compiled is None:
-        from repro.store.runtime import default_store
-        store = default_store()
-        if store is None:
-            compiled = compile_module(module, cost, nthreads)
-        else:
-            from repro.ir.printer import print_module
-            from repro.store.hashing import closure_key
-            skey = closure_key(print_module(module), astuple(cost),
-                               nthreads, CODEGEN_VERSION)
-            holder: Dict[str, CompiledProgram] = {}
-
-            def _compute() -> Dict[str, Any]:
-                holder["compiled"] = compile_module(module, cost, nthreads)
-                return holder["compiled"].bundle()
-
-            bundle = store.get_closure(skey, _compute, telemetry=telemetry)
-            compiled = holder.get("compiled")
-            if compiled is None:  # warm hit: rebuild closures from bundle
-                compiled = compile_module(module, cost, nthreads,
-                                          bundle=bundle)
-        per_module[key] = compiled
+        compiled = module.compiled[key] = compile_module(module, cost,
+                                                         nthreads)
     return compiled
 
 
@@ -1147,8 +1033,7 @@ class ClosureMachine(Machine):
                  compiled: Optional[CompiledProgram] = None, **kwargs):
         super().__init__(module, nthreads, **kwargs)
         if compiled is None:
-            compiled = get_compiled(module, self.cost, nthreads,
-                                    telemetry=self.telemetry)
+            compiled = get_compiled(module, self.cost, nthreads)
         elif compiled.module is not module:
             raise SimulationError(
                 "compiled program belongs to a different module")
@@ -1204,24 +1089,6 @@ class ClosureMachine(Machine):
         if self.total_steps > self.max_steps:
             raise GuestHang("exceeded %d interpreted instructions"
                             % self.max_steps)
-
-    def _step(self, thread: ThreadContext) -> None:
-        """Single-step (tests/debugging): one instruction via its
-        single closure, full ghost charged up front."""
-        frame = thread.frames[-1]
-        cblock = frame.cblock
-        index = frame.index
-        gcosts = cblock.dispatch[index][1]
-        charged = 0
-        done = thread.ghost_skip
-        while done < len(gcosts):
-            thread.cycles += gcosts[done]
-            done += 1
-            charged += 1
-        cblock.singles[index](self, thread, frame)
-        thread.ghost_skip = 0
-        thread.steps += 1 + charged
-        self.total_steps += 1 + charged
 
     # -- control transfer (retry path; hot paths are prebound) -------------
 

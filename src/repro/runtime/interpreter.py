@@ -506,26 +506,6 @@ class Machine:
     # Instruction dispatch
     # ------------------------------------------------------------------
 
-    def _step(self, thread: ThreadContext) -> None:
-        """Execute exactly one instruction (used by tests/debugging; the
-        run loop uses the batched _run_quantum)."""
-        frame = thread.frames[-1]
-        inst = frame.block.instructions[frame.index]
-        handler = self._HANDLERS.get(type(inst))
-        if handler is None:
-            raise SimulationError("no handler for %r" % inst)
-        charged = 0
-        ghost = getattr(inst, "ghost", None)
-        if ghost is not None and thread.ghost_skip < ghost[0]:
-            costs = self._ghost_costs(inst, ghost)
-            for position in range(thread.ghost_skip, ghost[0]):
-                thread.cycles += costs[position]
-                charged += 1
-        handler(self, thread, frame, inst)
-        thread.ghost_skip = 0
-        thread.steps += 1 + charged
-        self.total_steps += 1 + charged
-
     def _value(self, frame: Frame, v: Value):
         if isinstance(v, Constant):
             return v.value

@@ -238,27 +238,6 @@ class ArtifactStore:
         self.put(key, "program", program, name=name)
         return program
 
-    def get_closure(self, key: str, compute: Callable[[], dict],
-                    telemetry=None) -> dict:
-        """One compiled-closure source bundle per distinct (module IR,
-        cost model, thread count, codegen version) — computed via
-        :func:`repro.store.hashing.closure_key`.  Bundles are plain
-        picklable dicts of generated source text plus unit metadata;
-        the executable closures are always rebuilt in-process by
-        ``exec`` (code objects do not pickle portably).  Counters:
-        ``store.closure.hit`` / ``store.closure.miss``.
-        """
-        try:
-            bundle = self.load(key, "closure")
-            self._count("store.closure.hit", telemetry)
-            return bundle
-        except StoreError:
-            pass
-        self._count("store.closure.miss", telemetry)
-        bundle = compute()
-        self.put(key, "closure", bundle, name="closure bundle")
-        return bundle
-
     def get_lint(self, source: str, name: str, entry: str,
                  compute: Callable[[], dict], telemetry=None) -> dict:
         """One lint report (as its ``as_dict`` form — plain JSON-safe

@@ -1,14 +1,17 @@
 """Closure backend contract: golden-trace identity with the interpreter
 on every observable channel — error-free runs, optimized runs, and
-fault-injected runs — plus the compiled-artifact caches."""
+fault-injected runs — plus the lifetime of compiled code."""
 
 from __future__ import annotations
+
+import gc
+import pickle
 
 import pytest
 
 from repro.faults import FaultSpec, FaultType, InjectingHook
-from repro.runtime import ParallelProgram, RunConfig, get_compiled
-from repro.runtime.closures import _COMPILE_CACHE
+from repro.ir import Module
+from repro.runtime import CostModel, ParallelProgram, RunConfig, get_compiled
 from repro.splash2 import kernel
 
 from tests.conftest import FIGURE_1, figure1_setup
@@ -122,54 +125,31 @@ def test_get_compiled_memoizes_per_module(figure1_pair):
                                                                 nthreads=2)
 
 
-def test_closure_bundle_store_round_trip(tmp_path):
-    """Cold run misses the closure cache; a fresh process-equivalent
-    (in-process cache wiped) recompile hits it and stays
-    trace-identical."""
-    from repro.store import ArtifactStore
-    from repro.store.runtime import set_default_store
-    store = ArtifactStore(str(tmp_path / "store"))
-    set_default_store(store)
-    try:
-        program = ParallelProgram(FIGURE_1, "figure1", backend="closure")
-        cold = program.run_protected(4, seed=3, setup=figure1_setup(4))
-        assert store.counters.get("store.closure.miss") == 1
-        assert "store.closure.hit" not in store.counters
-
-        _COMPILE_CACHE.clear()
-        rebuilt = ParallelProgram(FIGURE_1, "figure1", backend="closure")
-        warm = rebuilt.run_protected(4, seed=3, setup=figure1_setup(4))
-        assert store.counters.get("store.closure.hit") == 1
-        assert run_signature(warm) == run_signature(cold)
-
-        interp = rebuilt.run_protected(4, seed=3, setup=figure1_setup(4),
-                                       backend="interpreter")
-        assert run_signature(interp) == run_signature(cold)
-    finally:
-        set_default_store(None)
+def test_compiled_code_is_freed_with_its_module():
+    """Compiled code hangs off its module, so dropping a program frees
+    both images' modules: live modules stay flat over repeated cold
+    builds."""
+    spec = kernel("radix")
+    counts = []
+    for _ in range(3):
+        program = ParallelProgram(spec.source, spec.name, entry=spec.entry,
+                                  opt_level=2, backend="closure")
+        for module in (program.baseline, program.protected):
+            get_compiled(module, CostModel(), 4)
+        del program, module
+        gc.collect()
+        counts.append(sum(1 for obj in gc.get_objects()
+                          if isinstance(obj, Module)))
+    assert counts[0] == counts[1] == counts[2], counts
 
 
-def test_corrupt_closure_bundle_is_rejected_not_trusted(tmp_path):
-    """A bundle whose unit layout disagrees with the fresh plan must be
-    discarded (per-function cold recompile), never executed."""
-    from repro.store import ArtifactStore
-    from repro.store.runtime import set_default_store
-    store = ArtifactStore(str(tmp_path / "store"))
-    set_default_store(store)
-    try:
-        program = ParallelProgram(FIGURE_1, "figure1", backend="closure")
-        cold = program.run_protected(4, seed=3, setup=figure1_setup(4))
-        # Corrupt every stored bundle: garble the generated sources.
-        for entry in store.entries():
-            if entry.kind != "closure":
-                continue
-            bundle = store.load(entry.key, "closure")
-            for data in bundle["functions"].values():
-                data["source"] = "def nonsense(:\n"
-            store.put(entry.key, "closure", bundle)
-        _COMPILE_CACHE.clear()
-        rebuilt = ParallelProgram(FIGURE_1, "figure1", backend="closure")
-        warm = rebuilt.run_protected(4, seed=3, setup=figure1_setup(4))
-        assert run_signature(warm) == run_signature(cold)
-    finally:
-        set_default_store(None)
+def test_closure_compiled_program_pickles_and_reruns():
+    program = ParallelProgram(FIGURE_1, "figure1", opt_level=2,
+                              backend="closure")
+    before = program.run_protected(4, seed=3, setup=figure1_setup(4))
+    assert program.protected.compiled
+    restored = pickle.loads(pickle.dumps(program))
+    assert restored.protected.compiled == {}
+    after = restored.run_protected(4, seed=3, setup=figure1_setup(4))
+    # Steps, parallel_time and every other traced channel match.
+    assert run_signature(after) == run_signature(before)

@@ -137,6 +137,25 @@ class TestMaintenance:
         assert len(store.entries()) == 1
 
 
+class TestRetiredClosureKind:
+    def test_old_closure_bundle_lists_verifies_and_is_collected(self, store):
+        """Stores written while compiled closures were cached hold
+        ``closure``-kind objects; they stay ordinary, collectable
+        entries."""
+        key = "cc" * 32
+        store.put(key, "closure",
+                  {"version": 1,
+                   "functions": {"slave": {"source": "def f():\n    pass\n",
+                                           "units": []}}},
+                  name="closure bundle")
+        store.put("dd" * 32, "golden", {"i": 0}, name="g")
+        assert {(e.key, e.kind) for e in store.entries()} >= {(key, "closure")}
+        assert store.verify() == []
+        evicted = store.gc(max_entries=0)
+        assert key in {e.key for e in evicted}
+        assert store.entries() == []
+
+
 class TestVulnKind:
     """Per-function vulnerability summaries share the generic entry
     machinery; pin the behaviors the analyzer relies on."""
