@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.instrument.config import CheckedBranchInfo
-from repro.monitor.messages import RuntimeKey
+from repro.monitor.messages import BranchMessage
 
 
 @dataclass
@@ -29,72 +29,61 @@ class InstanceEntry:
     """All reports for one dynamic instance of one branch."""
 
     info: CheckedBranchInfo
+    #: reports still missing from the worker threads; complete at 0
+    remaining: int = 0
     #: thread id -> condition basis values (from sendBranchCondition)
     values: Dict[int, Tuple] = field(default_factory=dict)
     #: thread id -> branch outcome (from sendBranchAddr)
     outcomes: Dict[int, bool] = field(default_factory=dict)
     checked: bool = False
 
-    @property
-    def reporters(self) -> int:
-        return len(self.outcomes)
-
-    def complete_for(self, nthreads: int) -> bool:
-        """All worker threads have reported this instance.
-
-        Store-value checks have no outcome message (there is no decision
-        to report), so completeness is value-count only for them."""
-        if self.info.check_kind.startswith("store"):
-            return len(self.values) == nthreads
-        return len(self.outcomes) == nthreads and len(self.values) == nthreads
-
 
 class BranchTable:
     """Two-level hash table plus per-thread occurrence counters."""
 
-    def __init__(self):
+    def __init__(self, nthreads: int):
+        self.nthreads = nthreads
         # level 1: (call-site path, static id) -> level 2 dict
         # level 2: (loop iterations, occurrence) -> InstanceEntry
         self._table: Dict[Tuple[Tuple[int, ...], int],
                           Dict[Tuple[Tuple[int, ...], int], InstanceEntry]] = {}
-        # (level1 key, loop iters, thread, message kind) -> occurrences seen
+        # (call-site path, static id, loop iters, thread, is outcome)
+        # -> occurrences seen
         self._occurrence: Dict[Tuple, int] = {}
-        self.entries_created = 0
 
-    def _entry(self, info: CheckedBranchInfo, key: RuntimeKey,
-               thread_id: int, kind: str) -> InstanceEntry:
-        call_path, loop_iters = key
-        level1_key = (call_path, info.static_id)
-        occ_key = (level1_key, loop_iters, thread_id, kind)
+    def file(self, message: BranchMessage) -> InstanceEntry:
+        """File one report into its instance and return the instance.
+        With the occurrence index an instance gets at most one report per
+        (thread, kind), so completeness counts down from a condition and
+        an outcome per thread (store-value checks send no outcome)."""
+        call_path, loop_iters = message.key
+        info = message.info
+        thread_id = message.thread_id
+        is_outcome = message.is_outcome
+        static_id = info.static_id
+        occ_key = (call_path, static_id, loop_iters, thread_id, is_outcome)
         occurrence = self._occurrence.get(occ_key, 0)
         self._occurrence[occ_key] = occurrence + 1
-        level2 = self._table.setdefault(level1_key, {})
+        level1_key = (call_path, static_id)
+        level2 = self._table.get(level1_key)
+        if level2 is None:
+            level2 = self._table[level1_key] = {}
         level2_key = (loop_iters, occurrence)
         entry = level2.get(level2_key)
         if entry is None:
-            entry = InstanceEntry(info=info)
-            level2[level2_key] = entry
-            self.entries_created += 1
+            reports = (self.nthreads if info.check_kind.startswith("store")
+                       else 2 * self.nthreads)
+            entry = level2[level2_key] = InstanceEntry(info, reports)
+        if is_outcome:
+            entry.outcomes[thread_id] = message.taken
+        else:
+            entry.values[thread_id] = message.values
+        entry.remaining -= 1
         return entry
-
-    def record_condition(self, info: CheckedBranchInfo, key: RuntimeKey,
-                         thread_id: int, values: Tuple) -> InstanceEntry:
-        entry = self._entry(info, key, thread_id, "cond")
-        entry.values[thread_id] = values
-        return entry
-
-    def record_outcome(self, info: CheckedBranchInfo, key: RuntimeKey,
-                       thread_id: int, taken: bool) -> InstanceEntry:
-        entry = self._entry(info, key, thread_id, "outcome")
-        entry.outcomes[thread_id] = taken
-        return entry
-
-    def all_entries(self) -> List[InstanceEntry]:
-        return [entry for level2 in self._table.values()
-                for entry in level2.values()]
 
     def pending_entries(self) -> List[InstanceEntry]:
-        return [e for e in self.all_entries() if not e.checked]
+        return [entry for level2 in self._table.values()
+                for entry in level2.values() if not entry.checked]
 
     def discard_checked(self) -> int:
         """Free completed instances (keeps the table bounded on long runs)."""

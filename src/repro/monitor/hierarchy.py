@@ -19,6 +19,7 @@ so producer backpressure (queue-full stalls) at high thread counts drops
 
 from __future__ import annotations
 
+import time
 from typing import List, Optional
 
 from repro.instrument.config import InstrumentationMetadata
@@ -44,6 +45,8 @@ class HierarchicalMonitor(Monitor):
         self.group_members: List[List[int]] = [[] for _ in range(self.groups)]
         for tid in range(nthreads):
             self.group_members[tid % self.groups].append(tid)
+        self._leaf_queues = [[self.queues[tid] for tid in members]
+                             for members in self.group_members]
         self._group_cursor = [0] * self.groups
         #: messages retired per leaf (for the ablation report)
         self.leaf_processed = [0] * self.groups
@@ -55,30 +58,20 @@ class HierarchicalMonitor(Monitor):
         full ``limit`` budget; the shared back-end table is the paper's
         hierarchical aggregation point.
         """
+        tel = self.telemetry
+        started = time.perf_counter_ns() if tel is not None else 0
         total = 0
         for leaf in range(self.groups):
             total += self._drain_leaf(leaf, limit)
         self.messages_processed += total
+        if tel is not None:
+            tel.add_time_ns("monitor.drain_ns",
+                            time.perf_counter_ns() - started)
         return total
 
     def _drain_leaf(self, leaf: int, limit: int) -> int:
-        members = self.group_members[leaf]
-        if not members:
-            return 0
-        processed = 0
-        empty_streak = 0
-        while processed < limit and empty_streak < len(members):
-            cursor = self._group_cursor[leaf]
-            tid = members[cursor % len(members)]
-            self._group_cursor[leaf] = (cursor + 1) % len(members)
-            message = self.queues[tid].try_pop()
-            if message is None:
-                empty_streak += 1
-                continue
-            empty_streak = 0
-            processed += 1
-            if self._full:
-                self._process(message)
+        processed, self._group_cursor[leaf] = self._drain_ring(
+            self._leaf_queues[leaf], self._group_cursor[leaf], limit)
         self.leaf_processed[leaf] += processed
         tel = self.telemetry
         if tel is not None and processed:

@@ -17,13 +17,32 @@ the whole simulator — two allocations per checked dynamic branch.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.instrument.config import CheckedBranchInfo
 
 #: The runtime half of the hash key: (call-site id path, iteration number
 #: of each enclosing loop, outermost first).
 RuntimeKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def runtime_key_function(loop_ids: Sequence[int]) -> Callable[
+        [Tuple[int, ...], Dict[int, int]], RuntimeKey]:
+    """The site's key ``(callsite, tuple(iters.get(l, -1) for l in
+    loop_ids))`` as a function of the thread's ``(callsite, iters)``,
+    unrolled for the common depths of 0-2 enclosing loops."""
+    ids = tuple(loop_ids)
+    if not ids:
+        return lambda callsite, iters: (callsite, ())
+    if len(ids) == 1:
+        (a,) = ids
+        return lambda callsite, iters: (callsite, (iters.get(a, -1),))
+    if len(ids) == 2:
+        a, b = ids
+        return lambda callsite, iters: (
+            callsite, (iters.get(a, -1), iters.get(b, -1)))
+    return lambda callsite, iters: (
+        callsite, tuple([iters.get(lid, -1) for lid in ids]))
 
 
 class BranchMessage:
@@ -33,11 +52,6 @@ class BranchMessage:
 
     #: True on OutcomeMessage; lets the monitor dispatch without isinstance.
     is_outcome = False
-
-    def __init__(self, info: CheckedBranchInfo, thread_id: int, key: RuntimeKey):
-        self.info = info
-        self.thread_id = thread_id
-        self.key = key
 
 
 class ConditionMessage(BranchMessage):

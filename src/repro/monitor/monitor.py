@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import enum
 import time
-from typing import List, Optional, Union
+from functools import partial
+from itertools import chain
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.instrument.config import InstrumentationMetadata
 from repro.monitor.checker import CheckStatistics, Violation, check_instance
@@ -78,16 +80,27 @@ class Monitor:
         capacity = metadata.config.queue_capacity
         self.queues: List[SpscQueue[BranchMessage]] = [
             SpscQueue(capacity) for _ in range(nthreads)]
-        self.table = BranchTable()
+        self.table = BranchTable(nthreads)
         self.violations: List[Violation] = []
         self.stats = CheckStatistics()
-        self.messages_received = 0
         self.messages_processed = 0
         self._round_robin = 0
         self._checks_since_discard = 0
         self._finalized = False
 
     # -- producer side (called from the interpreter) -------------------------
+
+    @property
+    def messages_received(self) -> int:
+        """Messages accepted into the front-end queues."""
+        return sum(queue.pushed for queue in self.queues)
+
+    def sender(self, thread_id: int) -> Callable[[BranchMessage], bool]:
+        """``try_send`` bound to ``thread_id``; for a full monitor without
+        telemetry that is just the queue push, one call per send."""
+        if self._full and self.telemetry is None:
+            return self.queues[thread_id].try_push
+        return partial(self.try_send, thread_id)
 
     def try_send(self, thread_id: int, message: BranchMessage) -> bool:
         """Enqueue a message from ``thread_id``.  False = queue full, the
@@ -99,7 +112,6 @@ class Monitor:
             # never block on a thread nobody will read.
             queue.try_pop()
         if queue.try_push(message):
-            self.messages_received += 1
             tel = self.telemetry
             if tel is not None:
                 tel.gauge_max("monitor.queue_hwm", len(queue))
@@ -114,37 +126,53 @@ class Monitor:
     def drain(self, limit: int) -> int:
         """Round-robin drain of up to ``limit`` messages; returns the
         number processed."""
-        processed = 0
-        empty_streak = 0
-        nqueues = len(self.queues)
-        if nqueues == 0:
-            return 0
-        while processed < limit and empty_streak < nqueues:
-            queue = self.queues[self._round_robin]
-            self._round_robin = (self._round_robin + 1) % nqueues
-            message = queue.try_pop()
-            if message is None:
-                empty_streak += 1
-                continue
-            empty_streak = 0
-            processed += 1
-            if self._full:
-                self._process(message)
-        self.messages_processed += processed
         tel = self.telemetry
-        if tel is not None and processed:
-            tel.count("monitor.drains")
-            tel.observe("monitor.drain_batch", processed)
+        started = time.perf_counter_ns() if tel is not None else 0
+        processed, self._round_robin = self._drain_ring(
+            self.queues, self._round_robin, limit)
+        self.messages_processed += processed
+        if tel is not None:
+            tel.add_time_ns("monitor.drain_ns",
+                            time.perf_counter_ns() - started)
+            if processed:
+                tel.count("monitor.drains")
+                tel.observe("monitor.drain_batch", processed)
         return processed
 
+    def _drain_ring(self, queues: Sequence[SpscQueue], cursor: int,
+                    limit: int) -> Tuple[int, int]:
+        """Round-robin from ``queues[cursor]``, one message per non-empty
+        queue per pass, until ``limit`` or all are empty; returns
+        ``(processed, one past the last queue popped or cursor)``.  Same
+        order as probing every queue in turn, without the empty probes."""
+        nqueues = len(queues)
+        live = [i for i in chain(range(cursor, nqueues), range(cursor))
+                if not queues[i].is_empty]
+        process = self._process if self._full else None
+        processed = 0
+        while live and processed < limit:
+            if len(live) == 1:  # one queue left: the rest comes in a row
+                i = live[0]
+                for _ in range(min(len(queues[i]), limit - processed)):
+                    message = queues[i].try_pop()
+                    processed += 1
+                    if process is not None:
+                        process(message)
+                return processed, (i + 1) % nqueues
+            for i in live:
+                message = queues[i].try_pop()
+                processed += 1
+                if process is not None:
+                    process(message)
+                if processed == limit:
+                    return processed, (i + 1) % nqueues
+            cursor = (live[-1] + 1) % nqueues
+            live = [i for i in live if not queues[i].is_empty]
+        return processed, cursor
+
     def _process(self, message: BranchMessage) -> None:
-        if message.is_outcome:
-            entry = self.table.record_outcome(
-                message.info, message.key, message.thread_id, message.taken)
-        else:
-            entry = self.table.record_condition(
-                message.info, message.key, message.thread_id, message.values)
-        if not entry.checked and entry.complete_for(self.nthreads):
+        entry = self.table.file(message)
+        if not entry.remaining and not entry.checked:
             self._check(entry)
 
     def _check(self, entry: InstanceEntry) -> None:
@@ -185,11 +213,15 @@ class Monitor:
         tel = self.telemetry if not self._finalized else None
         self._finalized = True
         if self._full:
+            started = time.perf_counter_ns() if tel is not None else 0
             pending = self.table.pending_entries()
             if tel is not None:
                 tel.count("monitor.incomplete_swept", len(pending))
             for entry in pending:
                 self._check(entry)
+            if tel is not None:  # consumer work too, like a drain
+                tel.add_time_ns("monitor.drain_ns",
+                                time.perf_counter_ns() - started)
         if tel is not None:
             tel.count("monitor.messages_received", self.messages_received)
             tel.count("monitor.messages_processed", self.messages_processed)

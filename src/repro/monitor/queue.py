@@ -36,6 +36,8 @@ class SpscQueue(Generic[T]):
         #: producers count stall events when the queue is full; the cost
         #: model charges for them.
         self.full_events = 0
+        #: successful pushes, so the monitor needs no per-message counter.
+        self.pushed = 0
 
     @property
     def capacity(self) -> int:
@@ -63,6 +65,7 @@ class SpscQueue(Generic[T]):
         # algorithm safe without locks: the slot is written before the
         # tail moves.
         self._tail = next_tail
+        self.pushed += 1
         return True
 
     def try_pop(self) -> Optional[T]:
@@ -73,13 +76,3 @@ class SpscQueue(Generic[T]):
         self._buffer[self._head] = None
         self._head = (self._head + 1) % self._size
         return item
-
-    def drain(self, limit: int) -> List[T]:
-        """Pop up to ``limit`` items (consumer side)."""
-        items: List[T] = []
-        while len(items) < limit:
-            item = self.try_pop()
-            if item is None:
-                break
-            items.append(item)
-        return items

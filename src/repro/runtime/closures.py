@@ -11,9 +11,13 @@ time, into *units*:
   for values that never escape the unit), cycle costs summed into a
   single literal, and the program counter advanced once at the end;
 * control flow and synchronization (branch, jump, call, ret, lock,
-  barrier, monitor sends) become hand-built generic closures that mirror
-  the interpreter handlers *exactly*, with branch targets pre-resolved
-  to compiled blocks and phi edge-copies pre-generated per CFG edge.
+  barrier) become hand-built generic closures that mirror the
+  interpreter handlers *exactly*, with branch targets pre-resolved to
+  compiled blocks and phi edge-copies pre-generated per CFG edge;
+* monitor sends (the condition send, a checked branch's outcome) have
+  the site's runtime key function and ``itemgetter`` operand reads
+  prebound, and push through the thread's one-call
+  :meth:`~repro.monitor.Monitor.sender`.
 
 **Schedule identity.**  The scheduler draws jitter from a seeded RNG at
 every quantum decision, so run results are bit-identical to the
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import GuestCrash, GuestHang, SimulationError
@@ -93,6 +98,7 @@ from repro.ir import (
     WriteLocal,
 )
 from repro.monitor import ConditionMessage, OutcomeMessage
+from repro.monitor.messages import runtime_key_function
 from repro.runtime.costmodel import CostModel
 from repro.runtime.interpreter import Machine, ThreadContext, ThreadStatus
 from repro.runtime.values import float_to_int, int_div, int_mod
@@ -619,8 +625,7 @@ def _reader(value: Value, slot_of: Dict[int, int],
     if isinstance(value, FunctionRef):
         index = func_index[value.function_name]
         return lambda regs: index
-    slot = slot_of[id(value)]
-    return lambda regs: regs[slot]
+    return itemgetter(slot_of[id(value)])
 
 
 def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
@@ -640,6 +645,8 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
         else_copy = else_cb.edge_copy.get(bid)
         then_entry = then_cb.nphis
         else_entry = else_cb.nphis
+        key_of = (runtime_key_function(info.enclosing_loop_ids)
+                  if info is not None else None)
 
         def branch_unit(machine, thread, frame, _inst=inst):
             regs = frame.regs
@@ -648,12 +655,13 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
             taken = machine.hook.before_branch(machine, thread, _inst,
                                                frame, taken)
             thread.cycles += machine.cost.branch
-            if info is not None and machine.monitor is not None:
+            send = thread.send
+            if info is not None and send is not None:
                 message = OutcomeMessage(
-                    info=info, thread_id=thread.tid,
-                    key=machine._runtime_key(thread, info), taken=taken)
+                    info, thread.tid,
+                    key_of(thread.callsite_key, thread.loop_iters), taken)
                 thread.cycles += machine._send_cost
-                if not machine.monitor.try_send(thread.tid, message):
+                if not send(message):
                     thread.pending = ("branch", message,
                                       then_block if taken else else_block)
                     thread.status = _BLOCKED_QUEUE
@@ -846,16 +854,16 @@ def _make_generic(program: CompiledProgram, cfunc: CompiledFunction,
     if isinstance(inst, SendBranchCondition):
         info = inst.info
         readers = [_reader(v, slot_of, func_index) for v in inst.operands]
+        key_of = runtime_key_function(info.enclosing_loop_ids)
 
         def send_unit(machine, thread, frame):
-            regs = frame.regs
-            values = tuple(read(regs) for read in readers)
             message = ConditionMessage(
-                info=info, thread_id=thread.tid,
-                key=machine._runtime_key(thread, info), values=values)
+                info, thread.tid,
+                key_of(thread.callsite_key, thread.loop_iters),
+                tuple([read(frame.regs) for read in readers]))
             thread.cycles += machine._send_cost
-            if machine.monitor is not None and not machine.monitor.try_send(
-                    thread.tid, message):
+            send = thread.send
+            if send is not None and not send(message):
                 thread.pending = ("send", message)
                 thread.status = _BLOCKED_QUEUE
                 thread.cycles += machine.cost.stall

@@ -64,6 +64,7 @@ from repro.ir import (
     WriteLocal,
 )
 from repro.monitor import ConditionMessage, Monitor, OutcomeMessage
+from repro.monitor.messages import runtime_key_function
 from repro.runtime.costmodel import CostModel
 from repro.runtime.memory import SharedMemory
 from repro.runtime.sync import SimBarrier, SimMutex
@@ -133,7 +134,7 @@ class ThreadContext:
     __slots__ = ("tid", "frames", "status", "cycles", "outputs",
                  "callsite_key", "loop_iters", "branch_count",
                  "pending", "steps", "ghost_skip", "sync_wait",
-                 "queue_stall")
+                 "queue_stall", "send")
 
     def __init__(self, tid: int, function: Function):
         self.tid = tid
@@ -154,6 +155,8 @@ class ThreadContext:
         #: Deferred action while blocked on a full monitor queue:
         #: ("send", message) or ("branch", message, target_block).
         self.pending: Optional[Tuple] = None
+        #: Monitor.sender of this thread; None when the run has no monitor.
+        self.send: Optional[Callable] = None
         self.steps = 0
         #: Optimizer-ghost kinds already charged at the current program
         #: point (a scheduling quantum may end mid-ghost; see
@@ -261,6 +264,14 @@ class Machine:
         self.memory = SharedMemory(module)
         entry_fn = module.function_named(entry)
         self.threads = [ThreadContext(tid, entry_fn) for tid in range(nthreads)]
+        if monitor is not None:
+            for thread in self.threads:
+                thread.send = monitor.sender(thread.tid)
+        #: static branch id -> the site's runtime key function
+        self._key_fns: Dict[int, Callable] = {
+            sid: runtime_key_function(info.enclosing_loop_ids)
+            for sid, info in (module.bw_metadata.branches.items()
+                              if module.bw_metadata is not None else ())}
         self.mutexes: Dict[str, SimMutex] = {}
         self.barriers: Dict[str, SimBarrier] = {}
         for name, g in module.globals.items():
@@ -650,12 +661,13 @@ class Machine:
         taken = self.hook.before_branch(self, thread, inst, frame, taken)
         thread.cycles += self.cost.branch
         info: Optional[CheckedBranchInfo] = inst.bw_info
-        if info is not None and self.monitor is not None:
+        send = thread.send
+        if info is not None and send is not None:
             message = OutcomeMessage(
-                info=info, thread_id=thread.tid,
-                key=self._runtime_key(thread, info), taken=taken)
+                info, thread.tid, self._key_fns[info.static_id](
+                    thread.callsite_key, thread.loop_iters), taken)
             thread.cycles += self._send_cost
-            if not self.monitor.try_send(thread.tid, message):
+            if not send(message):
                 thread.pending = ("branch", message,
                                   inst.then_block if taken else inst.else_block)
                 thread.status = ThreadStatus.BLOCKED_QUEUE
@@ -783,21 +795,16 @@ class Machine:
 
     # -- instrumentation intrinsics ------------------------------------------
 
-    def _runtime_key(self, thread: ThreadContext, info: CheckedBranchInfo):
-        iters = thread.loop_iters
-        return (thread.callsite_key,
-                tuple(iters.get(lid, -1) for lid in info.enclosing_loop_ids))
-
     def _exec_send_cond(self, thread: ThreadContext, frame: Frame,
                         inst: SendBranchCondition) -> None:
         info: CheckedBranchInfo = inst.info
         values = tuple(self._value(frame, v) for v in inst.operands)
         message = ConditionMessage(
-            info=info, thread_id=thread.tid,
-            key=self._runtime_key(thread, info), values=values)
+            info, thread.tid, self._key_fns[info.static_id](
+                thread.callsite_key, thread.loop_iters), values)
         thread.cycles += self._send_cost
-        if self.monitor is not None and not self.monitor.try_send(
-                thread.tid, message):
+        send = thread.send
+        if send is not None and not send(message):
             thread.pending = ("send", message)
             thread.status = ThreadStatus.BLOCKED_QUEUE
             thread.cycles += self.cost.stall

@@ -26,53 +26,74 @@ def make_info(static_id=0, kind="shared", **kwargs) -> CheckedBranchInfo:
 KEY = ((), ())
 
 
+def cond(info, tid, values=(), key=KEY) -> ConditionMessage:
+    return ConditionMessage(info, tid, key, values)
+
+
+def outcome(info, tid, taken=True, key=KEY) -> OutcomeMessage:
+    return OutcomeMessage(info, tid, key, taken)
+
+
 class TestBranchTable:
     def test_reports_merge_into_one_instance(self):
-        table = BranchTable()
+        table = BranchTable(2)
         info = make_info()
-        e1 = table.record_condition(info, KEY, 0, (5,))
-        e2 = table.record_outcome(info, KEY, 0, True)
-        e3 = table.record_condition(info, KEY, 1, (5,))
+        e1 = table.file(cond(info, 0, (5,)))
+        e2 = table.file(outcome(info, 0, True))
+        e3 = table.file(cond(info, 1, (5,)))
         assert e1 is e2 is e3
         assert e1.values == {0: (5,), 1: (5,)}
         assert e1.outcomes == {0: True}
 
     def test_levels_separate_instances(self):
-        table = BranchTable()
+        table = BranchTable(2)
         info = make_info()
-        a = table.record_outcome(info, ((1,), (0,)), 0, True)
-        b = table.record_outcome(info, ((2,), (0,)), 0, True)   # call path
-        c = table.record_outcome(info, ((1,), (1,)), 0, True)   # loop iter
-        d = table.record_outcome(make_info(static_id=9), ((1,), (0,)), 0, True)
+        a = table.file(outcome(info, 0, key=((1,), (0,))))
+        b = table.file(outcome(info, 0, key=((2,), (0,))))   # call path
+        c = table.file(outcome(info, 0, key=((1,), (1,))))   # loop iter
+        d = table.file(outcome(make_info(static_id=9), 0, key=((1,), (0,))))
         assert len({id(x) for x in (a, b, c, d)}) == 4
 
     def test_occurrence_counter_separates_repeats(self):
         """Same (call path, static id, loop iters) executed twice by the
         same thread must produce two instances, aligned by occurrence."""
-        table = BranchTable()
+        table = BranchTable(2)
         info = make_info()
-        first_t0 = table.record_outcome(info, KEY, 0, True)
-        second_t0 = table.record_outcome(info, KEY, 0, False)
-        first_t1 = table.record_outcome(info, KEY, 1, True)
-        second_t1 = table.record_outcome(info, KEY, 1, False)
+        first_t0 = table.file(outcome(info, 0, True))
+        second_t0 = table.file(outcome(info, 0, False))
+        first_t1 = table.file(outcome(info, 1, True))
+        second_t1 = table.file(outcome(info, 1, False))
         assert first_t0 is first_t1
         assert second_t0 is second_t1
         assert first_t0 is not second_t0
 
-    def test_complete_for(self):
-        table = BranchTable()
+    def test_completeness_countdown(self):
+        """A branch instance completes after a condition and an outcome
+        from every thread."""
+        table = BranchTable(2)
         info = make_info()
-        entry = table.record_condition(info, KEY, 0, ())
-        table.record_outcome(info, KEY, 0, True)
-        assert not entry.complete_for(2)
-        table.record_condition(info, KEY, 1, ())
-        table.record_outcome(info, KEY, 1, True)
-        assert entry.complete_for(2)
+        entry = table.file(cond(info, 0))
+        assert entry.remaining == 3
+        table.file(outcome(info, 0))
+        table.file(cond(info, 1))
+        assert entry.remaining == 1
+        table.file(outcome(info, 1))
+        assert entry.remaining == 0
+
+    def test_store_check_completes_on_values_alone(self):
+        """Store-value checks have no outcome message."""
+        table = BranchTable(3)
+        info = make_info(kind="store_shared")
+        entry = table.file(cond(info, 0, (1,)))
+        assert entry.remaining == 2
+        table.file(cond(info, 1, (1,)))
+        table.file(cond(info, 2, (1,)))
+        assert entry.remaining == 0
 
     def test_discard_checked(self):
-        table = BranchTable()
+        table = BranchTable(2)
         info = make_info()
-        entry = table.record_outcome(info, KEY, 0, True)
+        entry = table.file(outcome(info, 0))
         entry.checked = True
         assert len(table) == 1
         assert table.discard_checked() == 1

@@ -45,13 +45,6 @@ class TestBasics:
             assert q.try_push(round_)
             assert q.try_pop() == round_
 
-    def test_drain_limit(self):
-        q = SpscQueue(8)
-        for i in range(6):
-            q.try_push(i)
-        assert q.drain(4) == [0, 1, 2, 3]
-        assert q.drain(10) == [4, 5]
-
     def test_slots_cleared_on_pop(self):
         q = SpscQueue(2)
         q.try_push("payload")

@@ -127,3 +127,31 @@ def test_enabled_run_snapshot_matches_result(figure1_program):
         assert m["cycles"] >= 0
         assert m["sync_wait"] >= 0
         assert m["queue_stall"] >= 0
+
+
+def test_drain_time_holds_check_time_and_changes_no_count(figure1_program):
+    """``monitor.drain_ns`` times the whole consumer side, so it holds
+    every ``monitor.check_ns`` interval; timing it changes nothing the
+    run counts."""
+    setup = figure1_setup(THREADS)
+    plain = figure1_program.run_protected(THREADS, seed=0, setup=setup)
+    timed = figure1_program.run_protected(THREADS, seed=0, setup=setup,
+                                          telemetry=Telemetry())
+    snap = timed.telemetry
+    checks = snap.timers["monitor.check_ns"][1]
+    assert snap.timers["monitor.drain_ns"][1] >= checks > 0
+
+    def facts(run):
+        monitor = run.monitor
+        return (run.steps, run.parallel_time, run.output_signature(),
+                [str(v) for v in run.violations], monitor.messages_received,
+                monitor.messages_processed, monitor.queue_pressure(),
+                monitor.stats.instances_checked)
+
+    assert facts(plain) == facts(timed)
+    assert (snap.counter("monitor.messages_received"),
+            snap.counter("monitor.messages_processed"),
+            snap.counter("monitor.queue_full_events"),
+            snap.counter("monitor.checks")) == (
+        plain.monitor.messages_received, plain.monitor.messages_processed,
+        plain.monitor.queue_pressure(), plain.monitor.stats.instances_checked)
